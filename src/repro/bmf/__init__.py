@@ -12,7 +12,7 @@ from .evidence import (
     log_evidence,
     select_prior_and_eta_by_evidence,
 )
-from .map_estimation import KernelMapSolver, map_estimate
+from .map_estimation import FoldSpectrum, KernelMapSolver, kernel_solvers, map_estimate
 from .model import BmfRegressor, fuse
 from .prior_mapping import FingerMap, PriorMapping, map_prior_coefficients
 from .sequential import (
@@ -42,12 +42,14 @@ __all__ = [
     "log_evidence",
     "select_prior_and_eta_by_evidence",
     "FingerMap",
+    "FoldSpectrum",
     "GaussianCoefficientPrior",
     "KernelMapSolver",
     "PriorMapping",
     "cross_validate_eta",
     "default_eta_grid",
     "fuse",
+    "kernel_solvers",
     "map_estimate",
     "map_prior_coefficients",
     "nonzero_mean_prior",

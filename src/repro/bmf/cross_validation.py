@@ -8,20 +8,23 @@ cross-validation error -- this is what lets it track the better of
 BMF-ZM/BMF-NZM in every experiment of Section V.
 
 The sweep is made cheap by the dual-form solver: the fold kernels are
-submatrices of one precomputed K x K kernel, so evaluating a whole eta grid
-across all folds costs ``O(K^2 M)`` once plus ``O(N * len(grid) * K^3)``
-small solves (see :class:`repro.bmf.map_estimation.KernelMapSolver`).
+submatrices of one precomputed K x K kernel, each fold kernel is
+eigendecomposed once, and the priors that share a scale (BMF-ZM and BMF-NZM
+both use ``|alpha_E|``) share those decompositions.  A whole prior x eta
+grid across all folds costs ``O(K^2 M + N * K^3 + N * len(grid) * K^2)``
+(see :class:`repro.bmf.map_estimation.FoldSpectrum`), plus one Cholesky per
+(fold, eta) only where ``eta I + B_ff`` is numerically near singular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..runtime.metrics import metrics as runtime_metrics
-from .map_estimation import KernelMapSolver
+from .map_estimation import FoldSpectrum, KernelMapSolver, kernel_solvers
 from .priors import GaussianCoefficientPrior
 
 __all__ = [
@@ -93,6 +96,7 @@ def cross_validate_eta(
     solver: KernelMapSolver,
     etas: Sequence[float],
     n_folds: int = 5,
+    spectra: Optional[List[FoldSpectrum]] = None,
 ) -> np.ndarray:
     """Mean relative validation error for each eta in the grid.
 
@@ -104,6 +108,11 @@ def cross_validate_eta(
         Candidate hyper-parameter values (all positive).
     n_folds:
         Number of cross-validation folds (``N`` in Section IV-D).
+    spectra:
+        Optional per-fold cache of ``solver.kernel``'s
+        :class:`~repro.bmf.map_estimation.FoldSpectrum`.  An empty list is
+        filled by this call; passing the filled list with another solver
+        that shares the kernel skips every eigendecomposition.
 
     Returns
     -------
@@ -118,15 +127,24 @@ def cross_validate_eta(
         raise ValueError(
             f"n_folds must be in [2, {num_samples}], got {n_folds}"
         )
+    if spectra is None:
+        spectra = []
+    elif len(spectra) not in (0, n_folds):
+        raise ValueError(
+            f"spectra holds {len(spectra)} folds, expected 0 or {n_folds}"
+        )
     errors = np.zeros(len(etas))
     with runtime_metrics.timer("bmf.cross_validation"):
-        for train_rows, val_rows in _fold_masks(num_samples, n_folds):
+        for fold, (train_rows, val_rows) in enumerate(
+            _fold_masks(num_samples, n_folds)
+        ):
+            if fold == len(spectra):
+                spectra.append(FoldSpectrum(solver.kernel, train_rows, val_rows))
+            predicted = spectra[fold].predict(solver, etas)
             actual = solver.target[val_rows]
             norm = float(np.linalg.norm(actual))
             scale = norm if norm > 0 else 1.0
-            for i, eta in enumerate(etas):
-                predicted = solver.predict_submatrix(train_rows, val_rows, eta)
-                errors[i] += float(np.linalg.norm(predicted - actual)) / scale
+            errors += np.linalg.norm(predicted - actual[:, None], axis=0) / scale
     runtime_metrics.increment("bmf.cv_evaluations", n_folds * len(etas))
     return errors / n_folds
 
@@ -149,9 +167,7 @@ def select_prior_and_eta(
         raise ValueError("at least one candidate prior is required")
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
-    solvers = [
-        KernelMapSolver(design, target, prior, missing_scale) for prior in priors
-    ]
+    solvers = kernel_solvers(design, target, priors, missing_scale)
     return select_prior_and_eta_from_solvers(solvers, eta_grids, n_folds)
 
 
@@ -168,19 +184,29 @@ def select_prior_and_eta_from_solvers(
     candidate prior.  This is the streaming entry point: a sequential fit
     keeps one solver per candidate and *extends* it with each new batch of
     samples (``O(K * Delta-K * M)``), so re-running the full selection does
-    not pay the ``O(K^2 M)`` kernel rebuild.
+    not pay the ``O(K^2 M)`` kernel rebuild.  Solvers that share a kernel
+    (:meth:`~repro.bmf.map_estimation.KernelMapSolver.shares_kernel_with`)
+    share its fold eigendecompositions too.
     """
     if not solvers:
         raise ValueError("at least one solver is required")
     num_samples = solvers[0].target.shape[0]
     report = CrossValidationReport(prior=solvers[0].prior, eta=np.nan, error=np.inf)
+    shared: List[tuple] = []  # (solver, its kernel's fold spectra)
     for solver in solvers:
         prior = solver.prior
         if eta_grids is not None and prior.name in eta_grids:
             grid = np.asarray(list(eta_grids[prior.name]), dtype=float)
         else:
             grid = default_eta_grid(prior, num_samples)
-        errors = cross_validate_eta(solver, grid, n_folds)
+        spectra = next(
+            (cached for owner, cached in shared if solver.shares_kernel_with(owner)),
+            None,
+        )
+        if spectra is None:
+            spectra = []
+            shared.append((solver, spectra))
+        errors = cross_validate_eta(solver, grid, n_folds, spectra)
         report.per_prior_errors[prior.name] = errors
         report.per_prior_grids[prior.name] = grid
         best = int(np.argmin(errors))

@@ -22,18 +22,22 @@ No folds, no refits -- and it uses all K samples for both "fitting" and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cross_validation import default_eta_grid
-from .map_estimation import KernelMapSolver
+from .map_estimation import KernelMapSolver, kernel_solvers
 from .priors import GaussianCoefficientPrior
 
 __all__ = ["EvidenceReport", "log_evidence", "select_prior_and_eta_by_evidence"]
 
 
-def log_evidence(solver: KernelMapSolver, etas: Sequence[float]) -> np.ndarray:
+def log_evidence(
+    solver: KernelMapSolver,
+    etas: Sequence[float],
+    spectrum: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """Profiled log marginal likelihood for each eta in the grid.
 
     Parameters
@@ -43,6 +47,9 @@ def log_evidence(solver: KernelMapSolver, etas: Sequence[float]) -> np.ndarray:
         and prior-mean residual are reused).
     etas:
         Positive candidate values of ``eta = sigma_0^2 / tau^2``.
+    spectrum:
+        Optional ``numpy.linalg.eigh(solver.kernel)``, for reuse across
+        priors that share the kernel.
 
     Returns
     -------
@@ -53,7 +60,9 @@ def log_evidence(solver: KernelMapSolver, etas: Sequence[float]) -> np.ndarray:
     etas = np.asarray(list(etas), dtype=float)
     if np.any(etas <= 0):
         raise ValueError("all eta values must be positive")
-    eigenvalues, eigenvectors = np.linalg.eigh(solver.kernel)
+    if spectrum is None:
+        spectrum = np.linalg.eigh(solver.kernel)
+    eigenvalues, eigenvectors = spectrum
     eigenvalues = np.maximum(eigenvalues, 0.0)
     projected = eigenvectors.T @ solver.centered_target
     num_samples = projected.shape[0]
@@ -93,7 +102,8 @@ def select_prior_and_eta_by_evidence(
 
     Same call shape as
     :func:`repro.bmf.cross_validation.select_prior_and_eta`, so the two
-    selection strategies are drop-in interchangeable.
+    selection strategies are drop-in interchangeable.  Priors that share a
+    scale share one kernel and one eigendecomposition.
     """
     if not priors:
         raise ValueError("at least one candidate prior is required")
@@ -102,13 +112,18 @@ def select_prior_and_eta_by_evidence(
     num_samples = design.shape[0]
 
     report = EvidenceReport(prior=priors[0], eta=np.nan, log_evidence=-np.inf)
-    for prior in priors:
+    spectra: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # id(kernel) -> eigh
+    for prior, solver in zip(
+        priors, kernel_solvers(design, target, priors, missing_scale)
+    ):
         if eta_grids is not None and prior.name in eta_grids:
             grid = np.asarray(list(eta_grids[prior.name]), dtype=float)
         else:
             grid = default_eta_grid(prior, num_samples)
-        solver = KernelMapSolver(design, target, prior, missing_scale)
-        values = log_evidence(solver, grid)
+        key = id(solver.kernel)
+        if key not in spectra:
+            spectra[key] = np.linalg.eigh(solver.kernel)
+        values = log_evidence(solver, grid, spectra[key])
         report.per_prior_log_evidence[prior.name] = values
         report.per_prior_grids[prior.name] = grid
         best = int(np.argmax(values))

@@ -26,12 +26,15 @@ Two solver paths are provided:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..faults import failpoint
 from ..linalg import (
+    EPS,
+    cholesky_solve,
+    clip_spectrum,
     extend_gram_kernel,
     gram_kernel,
     solve_diag_plus_gram_direct,
@@ -39,11 +42,12 @@ from ..linalg import (
 )
 from .priors import GaussianCoefficientPrior
 
-__all__ = ["map_estimate", "KernelMapSolver"]
+__all__ = ["map_estimate", "FoldSpectrum", "KernelMapSolver", "kernel_solvers"]
 
-#: Fires before each dual-system solve (the K x K kernel solve at the
-#: heart of every MAP fit and cross-validation fold); armed plans here
-#: model a solver failure mid-refit.
+#: Fires before each K x K kernel factorization: the Cholesky of every MAP
+#: dual solve, the eigendecomposition of every cross-validation fold, and
+#: the Cholesky of each near-singular CV eta (see :class:`FoldSpectrum`).
+#: Armed plans here model a solver failure mid-refit.
 _FP_MAP_SOLVE = failpoint("solver.map")
 
 
@@ -138,15 +142,20 @@ def map_estimate(
     return KernelMapSolver(design, target, prior, missing_scale).solve(eta)
 
 
+def _scale_sq(
+    prior: GaussianCoefficientPrior, missing_scale: Optional[float]
+) -> np.ndarray:
+    """Per-coefficient prior variance shape ``s^2`` with missing scales resolved."""
+    return prior.effective_scale(prior.resolve_missing_scale(missing_scale)) ** 2
+
+
 class KernelMapSolver:
     """Dual-form MAP solver with precomputed kernel matrix.
 
     Precomputes ``B = G diag(s^2) G^T`` (the ``O(K^2 M)`` part) once, after
-    which every call to :meth:`solve` for a new ``eta`` -- and every
-    prediction on held-out rows via :meth:`predict_submatrix` -- costs only
-    ``O(K^3)`` / ``O(K^2)``.  This is what makes the cross-validation sweep
-    over hyper-parameter grids (Section IV-D) affordable: fold kernels are
-    submatrices of the full-sample kernel.
+    which every call to :meth:`solve` for a new ``eta`` costs only
+    ``O(K^3)``.  Fold kernels of the cross-validation sweep (Section IV-D)
+    are submatrices of the same kernel; see :class:`FoldSpectrum`.
     """
 
     def __init__(
@@ -159,13 +168,11 @@ class KernelMapSolver:
     ):
         design = np.asarray(design, dtype=float)
         target = np.asarray(target, dtype=float)
-        missing_scale = prior.resolve_missing_scale(missing_scale)
-        scale = prior.effective_scale(missing_scale)
         self.design = design
         self.target = target
         self.prior = prior
         self.deterministic = bool(deterministic)
-        self._scale_sq = scale**2
+        self._scale_sq = _scale_sq(prior, missing_scale)
         # B = G diag(s^2) G^T, shape (K, K).  In deterministic mode the
         # contraction is blocking-independent, so a solver grown through
         # :meth:`extended` is bitwise identical to one built from scratch
@@ -278,14 +285,122 @@ class KernelMapSolver:
         weights = self.dual_weights(eta)
         return self.prior.mean + self._scale_sq * (self.design.T @ weights)
 
-    def predict_submatrix(
-        self, train_rows: np.ndarray, eval_rows: np.ndarray, eta: float
-    ) -> np.ndarray:
-        """Predict at ``eval_rows`` from a model trained on ``train_rows``.
+    def _with_prior(self, prior: GaussianCoefficientPrior) -> "KernelMapSolver":
+        """Solver for ``prior`` on the same data, sharing this kernel.
 
-        Uses only kernel submatrices, never forming coefficients -- this is
-        the O(K^2) inner loop of hyper-parameter cross-validation.
+        The kernel depends on the prior only through its scale; the caller
+        guarantees ``prior`` resolves to this solver's scale, so the twin
+        pays only ``G mu``.
         """
-        weights = self.dual_weights(eta, train_rows)
-        cross = self.kernel[np.ix_(eval_rows, train_rows)]
-        return self.prior_prediction[eval_rows] + cross @ weights
+        twin = object.__new__(KernelMapSolver)
+        twin.design = self.design
+        twin.target = self.target
+        twin.prior = prior
+        twin.deterministic = self.deterministic
+        twin._scale_sq = self._scale_sq
+        twin.kernel = self.kernel
+        twin.prior_prediction = twin._prior_prediction(self.design)
+        twin.centered_target = self.target - twin.prior_prediction
+        return twin
+
+    def shares_kernel_with(self, other: "KernelMapSolver") -> bool:
+        """True when both solvers have the same kernel ``B``.
+
+        Either the very same array, or the same design object under equal
+        prior scales (solvers grown side by side by :meth:`extended`).
+        """
+        if self.kernel is other.kernel:
+            return True
+        return self.design is other.design and np.array_equal(
+            self._scale_sq, other._scale_sq
+        )
+
+
+def kernel_solvers(
+    design: np.ndarray,
+    target: np.ndarray,
+    priors: Sequence[GaussianCoefficientPrior],
+    missing_scale: Optional[float] = None,
+    deterministic: bool = False,
+) -> List[KernelMapSolver]:
+    """One :class:`KernelMapSolver` per prior, one kernel per distinct scale.
+
+    The zero- and nonzero-mean priors share the scale ``|alpha_E|``, so
+    BMF-PS builds ``B = G diag(s^2) G^T`` once for both.
+    """
+    solvers: List[KernelMapSolver] = []
+    for prior in priors:
+        scale_sq = _scale_sq(prior, missing_scale)
+        twin = next(
+            (s for s in solvers if np.array_equal(s._scale_sq, scale_sq)), None
+        )
+        if twin is None:
+            solvers.append(
+                KernelMapSolver(design, target, prior, missing_scale, deterministic)
+            )
+        else:
+            solvers.append(twin._with_prior(prior))
+    return solvers
+
+
+#: A fold's spectral solve of one eta is used when the eigenvalue error of
+#: ``eigh`` (about ``EPS * lambda_max``) is at most this fraction of every
+#: shifted eigenvalue ``lambda + eta``.
+SPECTRAL_RTOL = 1e-3
+
+
+class FoldSpectrum:
+    """One cross-validation fold of a kernel, eigendecomposed once.
+
+    With ``B[train, train] = V diag(lam) V^T``, the held-out prediction of
+    the model trained on ``train`` is, for every ``eta`` at once,
+
+        G mu[eval] + (B[eval, train] V) (V^T r[train] / (lam + eta))
+
+    so a whole eta grid costs one ``O(K^3)`` eigendecomposition plus
+    ``O(K^2)`` per eta.  The spectrum depends only on the kernel: every
+    prior sharing it reuses the same :class:`FoldSpectrum` and pays only
+    the projection and one GEMM.
+
+    Near the numerical singularity of ``eta I + B[train, train]`` -- tiny
+    eta on rank-deficient (``K > M``) or badly scaled folds -- the smallest
+    ``lam + eta`` are round-off.  There the answers follow the per-eta
+    solve the sweep replaced: Cholesky where it factors (it stays accurate
+    there), and below the first eta where it breaks down, the spectrum
+    clipped like :func:`~repro.linalg.solve_spd`'s fallback.
+    """
+
+    def __init__(self, kernel: np.ndarray, train_rows: np.ndarray, eval_rows: np.ndarray):
+        _FP_MAP_SOLVE.hit()
+        self.train_rows = train_rows
+        self.eval_rows = eval_rows
+        self.kernel = kernel
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
+            kernel[np.ix_(train_rows, train_rows)]
+        )
+        self.eval_kernel = kernel[np.ix_(eval_rows, train_rows)]
+        # B[eval, train] V, shape (len(eval_rows), len(train_rows)).
+        self.cross = self.eval_kernel @ self.eigenvectors
+
+    def predict(self, solver: KernelMapSolver, etas: np.ndarray) -> np.ndarray:
+        """Held-out predictions of ``solver``'s prior, one column per eta."""
+        residual = solver.centered_target[self.train_rows]
+        prior_prediction = solver.prior_prediction[self.eval_rows]
+        shifted = self.eigenvalues[:, None] + etas[None, :]
+        smallest = shifted.min(axis=0)
+        singular = smallest <= 0.0
+        shifted[:, singular] = clip_spectrum(shifted[:, singular])
+        projected = self.eigenvectors.T @ residual
+        predicted = prior_prediction[:, None] + self.cross @ (
+            projected[:, None] / shifted
+        )
+        near = smallest * SPECTRAL_RTOL <= EPS * self.eigenvalues.max()
+        for i in sorted(np.flatnonzero(near), key=lambda j: -etas[j]):
+            _FP_MAP_SOLVE.hit()
+            system = self.kernel[np.ix_(self.train_rows, self.train_rows)]
+            system[np.diag_indices_from(system)] += etas[i]
+            weights = cholesky_solve(system, residual)
+            if weights is None:
+                break  # smaller etas are singular too: keep the clipped spectrum
+            predicted[:, i] = prior_prediction + self.eval_kernel @ weights
+        return predicted

@@ -42,7 +42,7 @@ from ..faults import InjectedFault, failpoint
 from ..linalg import CholeskyFactor, SolverError, is_effectively_zero
 from ..runtime.metrics import metrics as runtime_metrics
 from .cross_validation import select_prior_and_eta_from_solvers
-from .map_estimation import KernelMapSolver
+from .map_estimation import KernelMapSolver, kernel_solvers
 from .model import BmfRegressor
 
 __all__ = [
@@ -416,18 +416,14 @@ class SequentialBmf:
         return self._solve_from_solvers()
 
     def _build_solvers(self) -> None:
-        """(Re)build one kernel solver per candidate prior from scratch."""
-        missing_scale = self.config.regressor_kwargs.get("missing_scale")
-        self._solvers = [
-            KernelMapSolver(
-                self._design,
-                self._f,
-                prior,
-                missing_scale,
-                deterministic=self.deterministic,
-            )
-            for prior in self._candidate_priors
-        ]
+        """(Re)build the kernel solvers from scratch, one kernel per scale."""
+        self._solvers = kernel_solvers(
+            self._design,
+            self._f,
+            self._candidate_priors,
+            self.config.regressor_kwargs.get("missing_scale"),
+            deterministic=self.deterministic,
+        )
         self._chol = None
         self._chol_prior_index = None
 

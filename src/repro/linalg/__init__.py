@@ -1,7 +1,13 @@
 """Linear-algebra kernels: SPD solves and Woodbury low-rank updates."""
 
 from .numerics import EPS, is_effectively_zero
-from .solvers import SolverError, solve_least_squares, solve_spd
+from .solvers import (
+    SolverError,
+    cholesky_solve,
+    clip_spectrum,
+    solve_least_squares,
+    solve_spd,
+)
 from .woodbury import (
     CholeskyFactor,
     extend_gram_kernel,
@@ -15,6 +21,8 @@ __all__ = [
     "CholeskyFactor",
     "EPS",
     "SolverError",
+    "cholesky_solve",
+    "clip_spectrum",
     "extend_gram_kernel",
     "gram_kernel",
     "is_effectively_zero",

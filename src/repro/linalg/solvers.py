@@ -9,14 +9,37 @@ implementation to be compared against.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import scipy.linalg
 
-__all__ = ["solve_spd", "solve_least_squares", "SolverError"]
+__all__ = [
+    "cholesky_solve",
+    "clip_spectrum",
+    "solve_spd",
+    "solve_least_squares",
+    "SolverError",
+]
+
+#: Relative eigenvalue floor of the regularized SPD pseudo-solve.
+SPECTRUM_FLOOR = 1e-12
 
 
 class SolverError(RuntimeError):
     """Raised when a linear system cannot be solved reliably."""
+
+
+def clip_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """Clip an SPD spectrum at ``max(lambda_max, 1) * SPECTRUM_FLOOR``.
+
+    ``eigenvalues`` is 1-D, or 2-D with one spectrum per column (the same
+    kernel shifted by each eta of a grid); every column gets its own floor.
+    This is the regularization of :func:`solve_spd`'s fallback, shared with
+    the spectral cross-validation sweep so both give the same answers.
+    """
+    floor = np.maximum(eigenvalues.max(axis=0), 1.0) * SPECTRUM_FLOOR
+    return np.maximum(eigenvalues, floor)
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -35,16 +58,24 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"rhs length {rhs.shape[0]} does not match matrix size {matrix.shape[0]}"
         )
+    solution = cholesky_solve(matrix, rhs)
+    if solution is not None:
+        return solution
+    # Regularized fallback: clip tiny/negative eigenvalues.
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    clipped = clip_spectrum(eigenvalues)
+    projected = eigenvectors.T @ rhs
+    return eigenvectors @ (projected / clipped)
+
+
+def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Cholesky solve of ``matrix @ x = rhs``; None if the factorization
+    breaks down (``matrix`` is not numerically positive definite)."""
     try:
         chol = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(chol, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
-        # Regularized fallback: clip tiny/negative eigenvalues.
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-        floor = max(eigenvalues.max(), 1.0) * 1e-12
-        clipped = np.maximum(eigenvalues, floor)
-        projected = eigenvectors.T @ rhs
-        return eigenvectors @ (projected / clipped)
+        return None
+    return scipy.linalg.cho_solve(chol, rhs, check_finite=False)
 
 
 def solve_least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -138,6 +138,11 @@ def omp_path(
 
     path = OmpPath()
     chol = _IncrementalCholesky(max_terms)
+    # Selected columns, one per row in selection order: the border
+    # cross-terms and the residual read the view ``chosen[:s]`` instead of
+    # re-gathering ``design[:, selected]`` at every step.  Rows keep the
+    # memory layout of that gather, so the arithmetic is bitwise unchanged.
+    chosen = np.empty((max_terms, num_samples))
     residual = target.copy()
     target_norm = np.linalg.norm(target)
     selected_mask = np.zeros(num_terms, dtype=bool)
@@ -150,17 +155,18 @@ def omp_path(
         if not np.isfinite(correlations[best]) or correlations[best] <= 0:
             break
         column = design[:, best]
-        cross = design[:, path.selected].T @ column if path.selected else np.empty(0)
+        size = chol.size
+        cross = chosen[:size] @ column
+        selected_mask[best] = True
         if not chol.try_append(cross, float(column @ column)):
             # Numerically dependent column: exclude it and keep going.
-            selected_mask[best] = True
             continue
-        selected_mask[best] = True
+        chosen[size] = column
         path.selected.append(best)
         cross_with_target.append(float(column @ target))
         coeffs = chol.solve(np.array(cross_with_target))
         path.coefficients_per_step.append(coeffs)
-        residual = target - design[:, path.selected] @ coeffs
+        residual = target - chosen[: size + 1].T @ coeffs
         res_norm = float(np.linalg.norm(residual))
         path.residual_norms.append(res_norm)
         if target_norm > 0 and res_norm <= residual_tol * target_norm:

@@ -66,8 +66,10 @@ def cross_validated_order(
         path = path_function(train_design, train_target, fold_budget)
         norm = np.linalg.norm(val_target)
         scale = norm if norm > 0 else 1.0
+        # One gather per fold; step ``s`` reads the first ``s + 1`` columns.
+        val_selected = val_design[:, path.selected]
         for step, coefficients in enumerate(path.coefficients_per_step):
-            prediction = val_design[:, path.selected[: step + 1]] @ coefficients
+            prediction = val_selected[:, : step + 1] @ coefficients
             errors[step] += np.linalg.norm(prediction - val_target) / scale
             counts[step] += 1
     valid = counts > 0

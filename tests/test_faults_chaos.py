@@ -125,9 +125,16 @@ class TestSolverFaults:
     def test_refits_hard_failed_by_map_solver_faults(self, tiny_ro):
         """Killing the MAP dual solve fails the refit outright (no fallback
         exists on that path); serving still answers from last-good."""
-        # Under the select prior each refit makes ~131 dual solves for this
-        # configuration, so the single trigger at hit 150 lands in refit 2.
-        plans = (FaultPlan.fail_every("solver.map", 150, max_triggers=1),)
+        # A fault-free dry run of the first refit alone counts its
+        # solver.map hits (with only that failpoint armed, faults.hits
+        # counts nothing else); the single trigger one hit later lands in
+        # refit 2.
+        idle = (FaultPlan.fail_every("solver.map", 10**9),)
+        dry = _run(tiny_ro, fault_plans=idle, sequential_kwargs={}, batch_sizes=(20,))
+        first_refit_hits = dry.fault_counters["faults.hits"]
+        plans = (
+            FaultPlan.fail_every("solver.map", first_refit_hits + 1, max_triggers=1),
+        )
         report = _run(tiny_ro, fault_plans=plans, sequential_kwargs={})
         outcomes = report.refit_outcomes
         assert [o.ok for o in outcomes] == [True, False, True]

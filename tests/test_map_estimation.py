@@ -5,6 +5,7 @@ import pytest
 
 from repro.basis import OrthonormalBasis
 from repro.bmf import (
+    FoldSpectrum,
     GaussianCoefficientPrior,
     KernelMapSolver,
     map_estimate,
@@ -177,7 +178,8 @@ class TestKernelMapSolver:
         train_rows = np.arange(0, 20)
         eval_rows = np.arange(20, 25)
         eta = 1.7
-        kernel_prediction = solver.predict_submatrix(train_rows, eval_rows, eta)
+        spectrum = FoldSpectrum(solver.kernel, train_rows, eval_rows)
+        kernel_prediction = spectrum.predict(solver, np.array([eta]))[:, 0]
         refit = map_estimate(
             design[train_rows], target[train_rows], prior, eta, solver="direct"
         )

@@ -110,22 +110,24 @@ def lars_path(design: np.ndarray, target: np.ndarray, max_terms: int) -> LarsPat
         a = columns.T @ direction
 
         # Step length: smallest positive gamma at which an inactive column
-        # reaches the active correlation level.
+        # reaches the active correlation level.  Candidates are laid out
+        # (j, -) then (j, +) for ascending j, so argmin's first-occurrence
+        # rule breaks ties in that order.
         gamma = current_c / normalizer  # full step (reaches LS on active set)
         next_index = None
-        c_all = columns.T @ (target - mu)
-        for j in range(num_terms):
-            if j in active or excluded[j]:
-                continue
-            for numerator, denominator in (
-                (current_c - c_all[j], normalizer - a[j]),
-                (current_c + c_all[j], normalizer + a[j]),
-            ):
-                if denominator > 1e-14:
-                    candidate = numerator / denominator
-                    if 1e-14 < candidate < gamma:
-                        gamma = candidate
-                        next_index = j
+        numerators = np.stack([current_c - correlations, current_c + correlations], axis=1)
+        denominators = np.stack([normalizer - a, normalizer + a], axis=1)
+        eligible = ~excluded
+        eligible[active] = False
+        valid = eligible[:, np.newaxis] & (denominators > 1e-14)
+        candidates = np.divide(
+            numerators, denominators, out=np.full_like(numerators, np.inf), where=valid
+        ).ravel()
+        candidates[~((candidates > 1e-14) & (candidates < gamma))] = np.inf
+        first = int(np.argmin(candidates))
+        if np.isfinite(candidates[first]):
+            gamma = float(candidates[first])
+            next_index = first // 2
 
         mu = mu + gamma * direction
 

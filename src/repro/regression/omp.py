@@ -6,10 +6,22 @@ then re-solves least squares on the selected subset.  The iteration count
 (model order) is chosen by N-fold cross-validation, mirroring how [13]
 determines when "a sufficiently large number of basis functions are chosen".
 
-The implementation keeps an incremental Cholesky factorization of the
-selected columns' Gram matrix, so one full path over ``S`` steps costs
-``O(S * K * M)`` for the correlation scans plus ``O(K * S^2 + S^3)`` for the
-solves -- no per-step ``lstsq`` from scratch.
+The implementation keeps an incremental Cholesky factor ``L`` of the
+selected columns' Gram matrix together with ``L^{-1} G_S^T f``, so a step
+costs one forward solve for the new border row and one back-substitution
+for the coefficients -- no per-step ``lstsq``.  The correlations come from
+one of two forms, chosen from the shape alone:
+
+* **Gram form** (``M <= GRAM_TERMS_RATIO * max_terms``): ``G^T G`` and
+  ``G^T f`` are formed once, then the correlations are
+  ``G^T f - (G^T G)[:, S] c`` with no pass over the K rows (Batch-OMP,
+  Rubinstein, Zibulevsky & Elad, 2008).  A path of ``S`` steps costs
+  ``O(K * M^2 + M * S^2)``.  The residual norm is
+  ``sqrt(||f||^2 - b^T c)``; near cancellation it is formed explicitly.
+* **Scan form**: the correlations are ``G^T r`` over the residual, so a
+  path costs ``O(S * K * M)``.  It wins when ``M >> max_terms``, where the
+  ``M x M`` Gram matrix would cost more than the scans it saves (and, at
+  paper scale, more memory than the machine has).
 """
 
 from __future__ import annotations
@@ -19,11 +31,20 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .base import BasisRegressor
 from .path_selection import cross_validated_order
 
 __all__ = ["OmpPath", "OrthogonalMatchingPursuit", "omp_path"]
+
+#: ``omp_path`` takes the Gram form when ``M <= GRAM_TERMS_RATIO * max_terms``
+#: (after capping).  Measured on a 2-vCPU x86-64 VM with one BLAS thread,
+#: the crossover sits between M / max_terms = 4 and 6: one path in Gram
+#: form is 1.3x faster at 300 x 540 with 135 terms (ratio 4.0), 1.2x slower
+#: at 100 x 540 with 100 terms (5.4) and 3.6x slower at 100 x 2000 with 50
+#: terms (40).  The Gram matrix must also fit in memory: 418 MB at M = 7227.
+GRAM_TERMS_RATIO = 4
 
 
 @dataclass
@@ -58,18 +79,26 @@ class OmpPath:
 
 
 class _IncrementalCholesky:
-    """Grow-only Cholesky factor of the Gram matrix of selected columns."""
+    """Grow-only Cholesky factor ``L`` of the selected columns' Gram matrix.
+
+    Alongside ``L`` it keeps ``z = L^{-1} b`` for the right-hand side
+    ``b = G_S^T f``, extended by one entry per appended column, so the
+    least-squares coefficients cost one back-substitution per step and
+    ``b^T c = z^T z`` is available without touching the design.
+    """
 
     def __init__(self, max_size: int):
         self._factor = np.zeros((max_size, max_size))
+        self._forward = np.zeros(max_size)
         self._size = 0
 
     @property
     def size(self) -> int:
         return self._size
 
-    def try_append(self, cross: np.ndarray, norm_sq: float) -> bool:
-        """Append a column with Gram cross-terms ``cross`` and squared norm.
+    def try_append(self, cross: np.ndarray, norm_sq: float, rhs: float) -> bool:
+        """Append a column with Gram cross-terms ``cross``, squared norm
+        ``norm_sq`` and right-hand-side entry ``rhs`` (its dot with ``f``).
 
         Returns False (without modifying state) if the new column is
         numerically dependent on the already-selected ones.
@@ -79,28 +108,31 @@ class _IncrementalCholesky:
         if s == 0:
             if norm_sq <= 0:
                 return False
-            factor[0, 0] = math.sqrt(norm_sq)
-            self._size = 1
-            return True
-        from scipy.linalg import solve_triangular
-
-        w = solve_triangular(factor[:s, :s], cross, lower=True, check_finite=False)
-        remainder = norm_sq - float(w @ w)
-        if remainder <= 1e-12 * max(norm_sq, 1.0):
-            return False
+            w = cross
+            remainder = norm_sq
+        else:
+            w = solve_triangular(factor[:s, :s], cross, lower=True, check_finite=False)
+            remainder = norm_sq - float(w @ w)
+            if remainder <= 1e-12 * max(norm_sq, 1.0):
+                return False
+        pivot = math.sqrt(remainder)
         factor[s, :s] = w
-        factor[s, s] = math.sqrt(remainder)
+        factor[s, s] = pivot
+        self._forward[s] = (rhs - float(w @ self._forward[:s])) / pivot
         self._size = s + 1
         return True
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``(L L^T) x = rhs`` for the current factor size."""
-        from scipy.linalg import solve_triangular
-
+    def coefficients(self) -> np.ndarray:
+        """Solve ``(L L^T) c = b`` by back-substitution of ``L^T c = z``."""
         s = self._size
-        factor = self._factor[:s, :s]
-        tmp = solve_triangular(factor, rhs, lower=True, check_finite=False)
-        return solve_triangular(factor.T, tmp, lower=False, check_finite=False)
+        return solve_triangular(
+            self._factor[:s, :s].T, self._forward[:s], lower=False, check_finite=False
+        )
+
+    def explained_sq(self) -> float:
+        """``b^T c = z^T z``: the squared norm of the fitted values."""
+        z = self._forward[: self._size]
+        return float(z @ z)
 
 
 def omp_path(
@@ -135,39 +167,67 @@ def omp_path(
     column_norms = np.linalg.norm(design, axis=0)
     usable = column_norms > 0
     safe_norms = np.where(usable, column_norms, 1.0)
+    target_norm = float(np.linalg.norm(target))
+    use_gram = num_terms <= GRAM_TERMS_RATIO * max_terms
 
     path = OmpPath()
     chol = _IncrementalCholesky(max_terms)
-    # Selected columns, one per row in selection order: the border
-    # cross-terms and the residual read the view ``chosen[:s]`` instead of
-    # re-gathering ``design[:, selected]`` at every step.  Rows keep the
-    # memory layout of that gather, so the arithmetic is bitwise unchanged.
-    chosen = np.empty((max_terms, num_samples))
-    residual = target.copy()
-    target_norm = np.linalg.norm(target)
     selected_mask = np.zeros(num_terms, dtype=bool)
-    cross_with_target: List[float] = []
+    if use_gram:
+        gram = design.T @ design
+        # Rows of ``gram`` for the selected columns, in selection order:
+        # the correlations are ``G^T f - gram[S].T @ c``, O(M s) per step.
+        chosen = np.empty((max_terms, num_terms))
+        gram_target = design.T @ target
+        # Below this squared residual, ||f||^2 - b^T c has lost too many
+        # digits to cancellation; the residual is then formed explicitly.
+        explicit_below = (
+            max(4.0 * residual_tol**2, 1e4 * np.finfo(float).eps) * target_norm**2
+        )
+    else:
+        # Selected design columns, one per row in selection order: the
+        # border cross-terms and the residual read the view ``chosen[:s]``.
+        chosen = np.empty((max_terms, num_samples))
+        residual = target
 
+    coeffs = np.zeros(0)
     while chol.size < max_terms:
-        correlations = np.abs(design.T @ residual) / safe_norms
+        size = chol.size
+        if use_gram:
+            correlations = gram_target - chosen[:size].T @ coeffs
+        else:
+            correlations = design.T @ residual
+        correlations = np.abs(correlations) / safe_norms
         correlations[selected_mask | ~usable] = -np.inf
         best = int(np.argmax(correlations))
         if not np.isfinite(correlations[best]) or correlations[best] <= 0:
             break
-        column = design[:, best]
-        size = chol.size
-        cross = chosen[:size] @ column
+        if use_gram:
+            row = gram[best]
+            cross, norm_sq, rhs = row[path.selected], row[best], gram_target[best]
+        else:
+            column = design[:, best]
+            cross = chosen[:size] @ column
+            norm_sq, rhs = column @ column, column @ target
         selected_mask[best] = True
-        if not chol.try_append(cross, float(column @ column)):
+        if not chol.try_append(cross, float(norm_sq), float(rhs)):
             # Numerically dependent column: exclude it and keep going.
             continue
-        chosen[size] = column
+        chosen[size] = row if use_gram else column
         path.selected.append(best)
-        cross_with_target.append(float(column @ target))
-        coeffs = chol.solve(np.array(cross_with_target))
+        coeffs = chol.coefficients()
         path.coefficients_per_step.append(coeffs)
-        residual = target - chosen[: size + 1].T @ coeffs
-        res_norm = float(np.linalg.norm(residual))
+        if use_gram:
+            res_sq = target_norm**2 - chol.explained_sq()
+            if res_sq > explicit_below:
+                res_norm = math.sqrt(res_sq)
+            else:
+                res_norm = float(
+                    np.linalg.norm(target - design[:, path.selected] @ coeffs)
+                )
+        else:
+            residual = target - chosen[: size + 1].T @ coeffs
+            res_norm = float(np.linalg.norm(residual))
         path.residual_norms.append(res_norm)
         if target_norm > 0 and res_norm <= residual_tol * target_norm:
             break

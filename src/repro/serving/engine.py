@@ -590,13 +590,19 @@ class PredictionEngine:
         :class:`BrownoutShedError`.  Raises :class:`EngineStoppedError`
         if the engine is not running and :class:`EngineOverloadedError`
         if the bounded queue is full even after shedding its oldest
-        expired entries.
+        expired entries.  A caller error -- ``x`` not 1-D/2-D or holding a
+        non-finite value -- raises :class:`ValueError` synchronously.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[np.newaxis, :]
         if x.ndim != 2:
             raise ValueError(f"x must be 1-D or 2-D, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            # Rejected here, never batched: a bad row must not fail the
+            # requests it would share a batch with, nor count against the
+            # model's breaker or health.
+            raise ValueError(f"x for {name!r} holds non-finite values")
         if timeout is not None and deadline is not None:
             raise ValueError("pass timeout or deadline, not both")
         if deadline is None:

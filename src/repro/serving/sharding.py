@@ -556,8 +556,10 @@ class ShardRouter:
         past the replica set) is backfilled from the store first
         (``serving.shard.backfills``).  A submit that races a concurrent
         :meth:`kill_shard` is re-routed once (``serving.shard.rerouted``).
-        Overload (:class:`~repro.serving.EngineOverloadedError`) and
-        unknown names (:class:`KeyError`) propagate to the caller.
+        Overload (:class:`~repro.serving.EngineOverloadedError`), unknown
+        names (:class:`KeyError`) and bad input (:class:`ValueError`)
+        propagate to the caller; bad input is neither failed over nor
+        hedged and leaves the shard's health untouched.
 
         With a :class:`~repro.serving.health.HedgePolicy` configured the
         returned object is a :class:`~repro.serving.health.HedgedFuture`:

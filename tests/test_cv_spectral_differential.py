@@ -11,9 +11,12 @@ Each fast path is checked against a slow reference kept only in this file:
   per-eta errors agree to 1e-10 relative; the argmin agrees everywhere.
   Near-singular etas on badly scaled kernels, where the sweep falls back
   to per-eta Cholesky, are checked the same way.
-* :func:`repro.regression.omp_path` (selected columns in a preallocated
-  buffer) against a greedy OMP that re-gathers ``design[:, selected]`` and
-  refits least squares at every step.
+* :func:`repro.regression.omp_path`, on both sides of its Gram/scan size
+  rule, against a greedy OMP that re-gathers ``design[:, selected]`` and
+  refits least squares at every step: same selection, coefficients within
+  1e-12, including large target offsets (``||r|| << ||f||``), exactly
+  sparse targets stopped by ``residual_tol``, and zero or duplicated
+  columns.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.bmf import (
 )
 from repro.linalg import solve_spd
 from repro.regression import omp_path
+from repro.regression.omp import GRAM_TERMS_RATIO
 from repro.runtime.metrics import metrics
 
 ERROR_RTOL = 1e-10
@@ -221,7 +225,11 @@ class TestSpectralCrossValidation:
 
 
 def reference_omp(design, target, max_terms):
-    """Greedy OMP with a fresh gather and least-squares refit per step."""
+    """Greedy OMP with a fresh gather and least-squares refit per step.
+
+    A candidate that would make the selected columns rank deficient (by
+    ``lstsq``'s SVD rank, ``matrix_rank``'s threshold) is excluded.
+    """
     norms = np.linalg.norm(design, axis=0)
     usable = norms > 0
     safe = np.where(usable, norms, 1.0)
@@ -236,36 +244,110 @@ def reference_omp(design, target, max_terms):
             break
         excluded[best] = True
         trial = design[:, selected + [best]]
-        if np.linalg.matrix_rank(trial) < len(selected) + 1:
+        coeffs, _, rank, _ = np.linalg.lstsq(trial, target, rcond=None)
+        if rank < len(selected) + 1:
             continue
         selected.append(best)
-        coeffs = np.linalg.lstsq(trial, target, rcond=None)[0]
         coefficients.append(coeffs)
         residual = target - trial @ coeffs
     return selected, coefficients
 
 
+def assert_matches_reference(path, design, target, max_terms):
+    """Same selection as :func:`reference_omp` (a prefix of it if the path
+    stopped early) and coefficients within 1e-12 of the largest one."""
+    selected, coefficients = reference_omp(design, target, max_terms)
+    assert path.selected == selected[: len(path.selected)]
+    for fast, slow in zip(path.coefficients_per_step, coefficients):
+        atol = 1e-12 * max(1.0, float(np.abs(slow).max()))
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=atol)
+    return selected
+
+
+def uses_gram(num_samples, num_terms, max_terms):
+    return num_terms <= GRAM_TERMS_RATIO * min(max_terms, num_samples, num_terms)
+
+
+def noisy_sparse_target(rng, design, offset=0.0):
+    num_samples, num_terms = design.shape
+    support = rng.choice(num_terms, size=min(10, num_terms), replace=False)
+    target = design[:, support] @ rng.standard_normal(support.size)
+    return target + 0.01 * rng.standard_normal(num_samples) + offset
+
+
+def check_zero_and_duplicated_columns(rng, num_samples, num_terms, max_terms):
+    design = rng.standard_normal((num_samples, num_terms))
+    design[:, 7] = design[:, 3]
+    design[:, 11] = 0.0
+    target = design @ rng.standard_normal(num_terms)
+    path = omp_path(design, target, max_terms)
+    selected = assert_matches_reference(path, design, target, max_terms)
+    assert path.selected == selected
+    assert not {3, 7} <= set(path.selected)
+    assert 11 not in path.selected
+
+
+#: (K, M, max_terms) on both sides of the Gram/scan rule M <= 4 max_terms;
+#: 3000 x 509 straddles it (4 * 127 = 508 < 509 <= 512 = 4 * 128).
+OMP_SHAPES = [
+    (40, 25, 25),
+    (60, 200, 30),
+    (300, 80, 60),
+    (100, 540, 100),
+    (300, 540, 150),
+    (3000, 509, 127),
+    (3000, 509, 128),
+]
+
+
 class TestBufferedOmpPath:
-    @pytest.mark.parametrize(
-        "num_samples,num_terms,max_terms", [(40, 25, 25), (60, 200, 30), (300, 80, 60)]
-    )
+    def test_shapes_cover_both_sides_of_the_rule(self):
+        sides = {uses_gram(*shape) for shape in OMP_SHAPES}
+        assert sides == {True, False}
+        assert not uses_gram(3000, 509, 127) and uses_gram(3000, 509, 128)
+
+    @pytest.mark.parametrize("num_samples,num_terms,max_terms", OMP_SHAPES)
     def test_matches_gather_reference(self, rng, num_samples, num_terms, max_terms):
         design = rng.standard_normal((num_samples, num_terms))
-        support = rng.choice(num_terms, size=min(10, num_terms), replace=False)
-        target = design[:, support] @ rng.standard_normal(support.size)
-        target += 0.01 * rng.standard_normal(num_samples)
+        target = noisy_sparse_target(rng, design)
         path = omp_path(design, target, max_terms)
-        selected, coefficients = reference_omp(design, target, max_terms)
-        assert path.selected == selected
-        for fast, slow in zip(path.coefficients_per_step, coefficients):
-            atol = 1e-12 * max(1.0, float(np.abs(slow).max()))
-            np.testing.assert_allclose(fast, slow, rtol=0, atol=atol)
+        assert len(path.selected) == min(max_terms, num_samples, num_terms)
+        assert_matches_reference(path, design, target, max_terms)
+
+    @pytest.mark.parametrize("num_samples,num_terms,max_terms", [(300, 80, 60), (60, 200, 30)])
+    def test_large_offset_matches_reference(self, rng, num_samples, num_terms, max_terms):
+        """A constant column and a 1e6 offset: ||r|| / ||f|| ~ 1e-8, where
+        ``||f||^2 - b^T c`` has cancelled to noise on the Gram side."""
+        design = rng.standard_normal((num_samples, num_terms))
+        design[:, 0] = 1.0
+        target = noisy_sparse_target(rng, design, offset=1e6)
+        path = omp_path(design, target, max_terms)
+        selected = assert_matches_reference(path, design, target, max_terms)
+        assert len(path.selected) == len(selected)
+        assert path.residual_norms[-1] < 1e-6 * np.linalg.norm(target)
+        residual = target - design[:, path.selected] @ path.coefficients_per_step[-1]
+        assert path.residual_norms[-1] == pytest.approx(np.linalg.norm(residual), rel=1e-6)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_exactly_sparse_target_stops_at_tolerance(self, rng, offset):
+        """Gram side: the explicit residual below the guard band lets the
+        ``residual_tol`` stop fire right after the support is recovered."""
+        design = rng.standard_normal((300, 80))
+        design[:, 0] = 1.0
+        support = np.concatenate([[0], rng.choice(np.arange(1, 80), 7, replace=False)])
+        weights = rng.standard_normal(support.size)
+        weights[0] += offset
+        target = design[:, support] @ weights
+        assert uses_gram(300, 80, 60)
+        path = omp_path(design, target, 60, residual_tol=1e-10)
+        assert sorted(path.selected) == sorted(support)
+        assert path.residual_norms[-1] <= 1e-10 * np.linalg.norm(target)
+        assert_matches_reference(path, design, target, 60)
 
     def test_dependent_column_skipped_like_reference(self, rng):
-        design = rng.standard_normal((50, 20))
-        design[:, 7] = design[:, 3]
-        target = design @ rng.standard_normal(20)
-        path = omp_path(design, target, 20)
-        selected, _ = reference_omp(design, target, 20)
-        assert path.selected == selected
-        assert not {3, 7} <= set(path.selected)
+        assert uses_gram(50, 20, 20)
+        check_zero_and_duplicated_columns(rng, 50, 20, 20)
+
+    def test_zero_and_duplicated_columns_on_scan_side(self, rng):
+        assert not uses_gram(60, 200, 30)
+        check_zero_and_duplicated_columns(rng, 60, 200, 30)

@@ -1,4 +1,9 @@
-"""Unit tests for least-angle regression (ref. [12])."""
+"""Unit tests for least-angle regression (ref. [12]).
+
+``reference_lars_path`` keeps the per-candidate Python loop for the step
+length that :func:`repro.regression.lars_path` vectorizes; the two must
+agree bitwise.
+"""
 
 import numpy as np
 import pytest
@@ -19,7 +24,85 @@ def sparse_problem(rng, num_vars=60, nonzero=4, num_samples=80, noise=0.0):
     return basis, truth, support, x, f
 
 
+def reference_lars_path(design, target, max_terms):
+    """LAR with the step length found by a loop over candidates, j ascending,
+    the ``-`` candidate before the ``+`` one; returns (selected, coefficients)."""
+    num_samples, num_terms = design.shape
+    max_terms = min(max_terms, num_samples, num_terms)
+    norms = np.linalg.norm(design, axis=0)
+    excluded = ~(norms > 1e-12)
+    safe_norms = np.where(excluded, 1.0, norms)
+    columns = design / safe_norms
+    selected, coefficients = [], []
+    active, signs = [], []
+    mu = np.zeros(num_samples)
+    beta = np.zeros(0)
+    for _step in range(max_terms):
+        if not active:
+            correlations = columns.T @ (target - mu)
+            correlations[excluded] = 0.0
+            best = int(np.argmax(np.abs(correlations)))
+            if abs(correlations[best]) < 1e-14:
+                break
+            active.append(best)
+            signs.append(float(np.sign(correlations[best])))
+        signed = columns[:, active] * np.array(signs)
+        try:
+            w = np.linalg.solve(signed.T @ signed, np.ones(len(active)))
+        except np.linalg.LinAlgError:
+            break
+        total = float(np.sum(w))
+        if total <= 0:
+            break
+        normalizer = 1.0 / np.sqrt(total)
+        direction = signed @ (normalizer * w)
+        current_c = float(np.abs(columns[:, active[0]] @ (target - mu)))
+        a = columns.T @ direction
+        gamma = current_c / normalizer
+        next_index = None
+        c_all = columns.T @ (target - mu)
+        for j in range(num_terms):
+            if j in active or excluded[j]:
+                continue
+            for numerator, denominator in (
+                (current_c - c_all[j], normalizer - a[j]),
+                (current_c + c_all[j], normalizer + a[j]),
+            ):
+                if denominator > 1e-14:
+                    candidate = numerator / denominator
+                    if 1e-14 < candidate < gamma:
+                        gamma = candidate
+                        next_index = j
+        mu = mu + gamma * direction
+        grown = np.zeros(len(active))
+        grown[: beta.size] = beta
+        beta = grown + np.array(signs) * (normalizer * w * gamma)
+        selected = list(active)
+        coefficients.append(beta / safe_norms[active])
+        if next_index is None:
+            break
+        active.append(next_index)
+        signs.append(float(np.sign(columns[:, next_index] @ (target - mu))) or 1.0)
+    return selected, coefficients
+
+
 class TestLarsPath:
+    @pytest.mark.parametrize(
+        "num_samples,num_terms,max_terms", [(50, 6, 6), (80, 61, 20), (40, 200, 40)]
+    )
+    def test_matches_loop_reference_bitwise(self, rng, num_samples, num_terms, max_terms):
+        design = rng.standard_normal((num_samples, num_terms))
+        design[:, 1] = 0.0  # excluded column
+        design[:, 4] = design[:, 2]  # exact ties between candidates
+        target = design[:, :6] @ rng.standard_normal(6)
+        target += 0.1 * rng.standard_normal(num_samples)
+        path = lars_path(design, target, max_terms)
+        selected, coefficients = reference_lars_path(design, target, max_terms)
+        assert path.selected == selected
+        assert len(path.coefficients_per_step) == len(coefficients)
+        for fast, slow in zip(path.coefficients_per_step, coefficients):
+            np.testing.assert_array_equal(fast, slow)
+
     def test_full_path_reaches_least_squares(self, rng):
         """With no competitor left, the last step lands on the active-set
         OLS solution (Efron et al., property of the full-gamma step)."""

@@ -2,8 +2,9 @@
 
 latency digest, health scoring, AIMD concurrency limiting, brownout
 shedding, hedged requests, the cancellation-aware request lifecycle,
-and the liveness-checked ``predict()`` wait (the no-timeout hang
-regression).
+the liveness-checked ``predict()`` wait (the no-timeout hang
+regression), and non-finite input isolation (one caller's NaN row must
+not open the breaker for everyone).
 """
 
 import time
@@ -540,3 +541,49 @@ class TestTagScopedFailpoints:
                 engine.predict("m", x)
                 (plan_stats,) = session.stats()["engine.evaluate"]
                 assert plan_stats["triggers"] == 1
+
+
+class TestNonFiniteInputIsolation:
+    """A NaN row is the caller's error: rejected at ``submit``, it never
+    reaches a batch, the breaker or the health score."""
+
+    def test_engine_rejects_nan_without_poisoning(self, basis, model):
+        with make_engine(basis, model, health=HealthTracker(window=8)) as engine:
+            breaker_before = engine.breaker.snapshot()
+            health_before = engine.health.snapshot()
+            bad = np.full(basis.num_vars, np.nan)
+            for _ in range(3):
+                with pytest.raises(ValueError, match="non-finite"):
+                    engine.submit("m", bad)
+            assert engine.breaker.snapshot() == breaker_before
+            assert engine.health.snapshot() == health_before
+            assert engine.ready()
+            assert engine.stats()["failed"] == 0
+            x = np.zeros((1, basis.num_vars))
+            np.testing.assert_allclose(engine.predict("m", x), model.predict(x))
+            assert engine.ready()
+            assert engine.breaker.state(engine.registry.current("m").key) == "closed"
+
+    def test_router_passes_error_back_without_failover(self, basis, model, tmp_path):
+        with hedged_router(tmp_path, model) as router:
+            alive = router.alive_shards()
+            breakers = {s: router.shard(s).engine.breaker.snapshot() for s in alive}
+            health = {s: router.shard(s).engine.health.snapshot() for s in alive}
+            bad = np.zeros((1, basis.num_vars))
+            bad[0, 1] = np.inf
+            before = metrics.counters()
+            for _ in range(3):
+                with pytest.raises(ValueError, match="non-finite"):
+                    router.submit("m", bad)
+            delta = counters_delta(before, metrics.counters())
+            assert router.alive_shards() == alive
+            assert router.hedge_stats()["attempts"] == 0
+            assert delta.get("serving.shard.rerouted", 0) == 0
+            for shard_id in alive:
+                engine = router.shard(shard_id).engine
+                assert engine.breaker.snapshot() == breakers[shard_id]
+                assert engine.health.snapshot() == health[shard_id]
+                assert engine.ready()
+            x = np.zeros((1, basis.num_vars))
+            np.testing.assert_allclose(router.predict("m", x), model.predict(x))
+            assert all(entry["ready"] for entry in router.health().values())
